@@ -48,7 +48,7 @@ from repro.workloads import (                              # noqa: E402
     small_use_case,
 )
 from repro.experiments.points import (                     # noqa: E402
-    engine_report,
+    openpmd_report,
     original_report,
     streaming_report,
 )
@@ -180,10 +180,10 @@ def build_suite(quick: bool) -> dict:
                                      config=stream_cfg, queue_depth=2,
                                      policy="block"),
         f"bp5_async_point_{point_nodes}nodes":
-            lambda: engine_report(machine=dardel(), nodes=point_nodes,
-                                  engine_ext=".bp5", async_drain=True,
-                                  num_aggregators=2 * point_nodes,
-                                  compute_seconds_per_step=0.02),
+            lambda: openpmd_report(machine=dardel(), nodes=point_nodes,
+                                   engine_ext=".bp5", async_drain=True,
+                                   num_aggregators=2 * point_nodes,
+                                   compute_seconds_per_step=0.02),
         f"serving_lru_point_{point_nodes}nodes":
             lambda: _serving_point("lru", point_nodes),
         f"serving_markov_point_{point_nodes}nodes":

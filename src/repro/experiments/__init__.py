@@ -22,7 +22,6 @@ from repro.experiments.sensitivity import SensitivityResult, run_sensitivity
 from repro.experiments.serving import ServingResult, run_serving
 from repro.experiments.streaming import StreamingResult, run_streaming
 from repro.experiments.table2 import Table2Result, run_table2
-from repro.experiments.tuning import TuningExperimentResult, run_tuning
 from repro.experiments.weak_scaling import run_weak_scaling
 
 __all__ = [
@@ -61,3 +60,13 @@ __all__ = [
     "run_tuning",
     "run_weak_scaling",
 ]
+
+
+def __getattr__(name):
+    # The tuning driver imports repro.tuning, which imports this package's
+    # sweep executor; loading the driver on first use keeps
+    # ``import repro.tuning`` free of an import cycle.
+    if name in ("TuningExperimentResult", "run_tuning"):
+        from repro.experiments import tuning
+        return getattr(tuning, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -74,3 +76,32 @@ def subset(values: Sequence, quick: bool) -> tuple:
     if not quick or len(values) <= 3:
         return values
     return (values[0], values[len(values) // 2], values[-1])
+
+
+def write_artifact(path: str, doc: dict) -> str:
+    """Write one JSON artifact: sorted keys, two-space indent, newline."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+    return path
+
+
+def render_checked(table: Table, checks: dict[str, dict]) -> str:
+    """``table``, one line per acceptance check and the pass tally.
+
+    ``checks`` maps a check name to a dict with a boolean ``"pass"``
+    and the measured values that decided it.
+    """
+    out = table.render()
+    for name, c in sorted(checks.items()):
+        status = "pass" if c.get("pass") else "FAIL"
+        detail = ", ".join(f"{k}={v:.3f}" if isinstance(v, float)
+                           else f"{k}={v}" for k, v in c.items()
+                           if k != "pass")
+        out += f"\n  check {name}: {status} ({detail})"
+    failed = [k for k, c in checks.items() if not c.get("pass")]
+    out += (f"\n  note: {len(checks) - len(failed)}/{len(checks)} "
+            f"acceptance checks pass"
+            + (f"; failing: {failed}" if failed else ""))
+    return out

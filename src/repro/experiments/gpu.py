@@ -23,12 +23,10 @@ sweep executor; the machine is rebuilt inside the point function from
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field, replace
 
 from repro.cluster.presets import dardel_gpu
-from repro.experiments.common import resolve_machine, subset
+from repro.experiments.common import render_checked, resolve_machine, subset
 from repro.experiments.sweep import sweep
 from repro.gpu import HybridConfig
 from repro.util.tables import Table
@@ -103,7 +101,6 @@ class GpuResult:
     seed: int
     rows: list[GpuRow] = field(default_factory=list)
     checks: dict = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
 
     def row(self, mode: str, aggregators: int,
             gpus_per_node: int) -> GpuRow | None:
@@ -194,15 +191,6 @@ class GpuResult:
             "rows": [r.to_dict() for r in self.rows],
         }
 
-    def save_artifact(self, path: str) -> str:
-        d = os.path.dirname(path)
-        if d:
-            os.makedirs(d, exist_ok=True)
-        with open(path, "w") as f:
-            json.dump(self.to_artifact(), f, indent=2, sort_keys=True)
-            f.write("\n")
-        return path
-
     def to_table(self) -> Table:
         t = Table(["mode", "aggr", "GPUs/node", "staged [GiB]",
                    "drain max [s]", "stall max [s]", "turns",
@@ -221,23 +209,13 @@ class GpuResult:
         return t
 
     def render(self) -> str:
-        out = self.to_table().render()
-        for name, c in sorted(self.checks.items()):
-            status = "pass" if c.get("pass") else "FAIL"
-            detail = ", ".join(f"{k}={v:.3f}" if isinstance(v, float)
-                               else f"{k}={v}" for k, v in c.items()
-                               if k != "pass")
-            out += f"\n  check {name}: {status} ({detail})"
-        if self.notes:
-            out += "\n" + "\n".join(f"  note: {n}" for n in self.notes)
-        return out
+        return render_checked(self.to_table(), self.checks)
 
 
 def run_gpu(machine=None, modes=MODES, aggregators=AGGREGATORS,
             gpus_per_node=GPUS_PER_NODE, nodes: int = NODES,
             staging_mib: int = STAGING_MIB, engine_ext: str = ".bp5",
-            quick: bool = False, seed: int = 0, config=None,
-            artifact_path: str | None = None) -> GpuResult:
+            quick: bool = False, seed: int = 0, config=None) -> GpuResult:
     """Sweep staging mode × aggregators × GPUs/node at Table-II scale.
 
     ``quick`` shrinks the job to 20 nodes and one aggregator count but
@@ -286,20 +264,4 @@ def run_gpu(machine=None, modes=MODES, aggregators=AGGREGATORS,
             peak_staging_mib=rep["peak_staging_bytes"] / MiB))
 
     result.checks = result._check_cells()
-    failed = [k for k, c in result.checks.items() if not c.get("pass")]
-    result.notes.append(
-        f"{len(result.checks) - len(failed)}/{len(result.checks)} "
-        f"acceptance checks pass"
-        + (f"; failing: {failed}" if failed else ""))
-    if artifact_path is not None:
-        result.save_artifact(artifact_path)
-        result.notes.append(f"artifact written to {artifact_path}")
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run_gpu(artifact_path="results/gpu_staging.json").render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

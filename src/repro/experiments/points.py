@@ -43,28 +43,22 @@ def original_report(machine, nodes, config=None, seed=0) -> dict:
                                        seed=seed))
 
 
-def openpmd_report(machine, nodes, config=None, num_aggregators=None,
-                   compressor=None, stripe_count=None, stripe_size=None,
+def openpmd_report(machine, nodes, config=None, ranks_per_node=128,
+                   num_aggregators=None, compressor=None, stripe_count=None,
+                   stripe_size=None, engine_ext=".bp4", async_drain=False,
+                   host_memory_bound=None, compute_seconds_per_step=0.0,
                    seed=0) -> dict:
-    """One openPMD+BP4 run (Figs. 3-7, 9, Table II, weak scaling)."""
-    return _report(run_openpmd_scaled(
-        machine, nodes, config=config, num_aggregators=num_aggregators,
-        compressor=compressor, stripe_count=stripe_count,
-        stripe_size=stripe_size, seed=seed))
-
-
-def engine_report(machine, nodes, config=None, num_aggregators=None,
-                  engine_ext=".bp4", async_drain=False,
-                  host_memory_bound=None, compute_seconds_per_step=0.0,
-                  seed=0) -> dict:
-    """One engine-comparison run (the BP4-vs-BP5 aggregator sweep).
+    """One openPMD+ADIOS2 run (Figs. 3-7, 9, Table II, weak scaling, the
+    BP4-vs-BP5 aggregator sweep and every autotuner probe).
 
     On top of :func:`_report`'s metrics this exposes the makespan, the
     folded aggregation-phase cost (where one-level and two-level shuffles
     diverge) and the async-drain accounting.
     """
     res = run_openpmd_scaled(
-        machine, nodes, config=config, num_aggregators=num_aggregators,
+        machine, nodes, config=config, ranks_per_node=ranks_per_node,
+        num_aggregators=num_aggregators, compressor=compressor,
+        stripe_count=stripe_count, stripe_size=stripe_size,
         engine_ext=engine_ext, async_drain=async_drain,
         host_memory_bound=host_memory_bound,
         compute_seconds_per_step=compute_seconds_per_step, seed=seed)
@@ -76,6 +70,7 @@ def engine_report(machine, nodes, config=None, num_aggregators=None,
         peak_host_bytes=res.peak_host_bytes,
         drain_wait_s=res.drain_wait_seconds,
         drain_s=res.drain_seconds,
+        host_memory_bound=host_memory_bound,
     )
     return out
 
@@ -95,7 +90,7 @@ def tuning_report(machine, nodes, config=None, engine_ext=".bp4",
     while async-draining — it maps onto the engine's
     ``host_memory_bound`` (BP5 ``MaxShmSize``) as ``depth × the
     aggregator's per-step diagnostic volume`` and is inert when
-    ``async_drain`` is off.
+    ``async_drain`` is off.  The run itself is :func:`openpmd_report`.
     """
     if config is None:
         from repro.workloads.presets import paper_use_case
@@ -107,23 +102,13 @@ def tuning_report(machine, nodes, config=None, engine_ext=".bp4",
         step_bytes = (model.diag_bytes_per_rank_per_event()
                       * nodes * ranks_per_node / num_aggregators)
         host_memory_bound = max(int(queue_depth * step_bytes), 1 << 20)
-    res = run_openpmd_scaled(
+    return openpmd_report(
         machine, nodes, config=config, ranks_per_node=ranks_per_node,
         num_aggregators=num_aggregators, compressor=compressor,
         stripe_count=stripe_count, stripe_size=stripe_size,
         engine_ext=engine_ext, async_drain=async_drain,
         host_memory_bound=host_memory_bound,
         compute_seconds_per_step=compute_seconds_per_step, seed=seed)
-    out = _report(res)
-    out.update(
-        makespan=res.comm.max_time(),
-        aggregation_s=sum(p.total_us("aggregation") for p in res.profiles)
-        / 1e6,
-        peak_host_bytes=res.peak_host_bytes,
-        drain_wait_s=res.drain_wait_seconds,
-        host_memory_bound=host_memory_bound,
-    )
-    return out
 
 
 def openpmd_profile(machine, nodes, compressor=None, seed=0) -> dict:

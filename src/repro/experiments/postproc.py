@@ -110,11 +110,3 @@ def run_postproc(nodes: int = 200,
     return PostprocResult(machine=machine.name, nodes=nodes,
                           aggregators=tuple(aggregators),
                           read_gib_s=tuple(results))
-
-
-def main() -> None:  # pragma: no cover
-    print(run_postproc().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

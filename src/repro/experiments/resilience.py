@@ -28,9 +28,7 @@ failure-free, checkpoint-free ideal.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -295,15 +293,6 @@ class MultiLevelResult:
             "efficiency_vs_mtbf": self.efficiency_curves(),
         }
 
-    def save_artifact(self, path: str) -> str:
-        d = os.path.dirname(path)
-        if d:
-            os.makedirs(d, exist_ok=True)
-        with open(path, "w") as f:
-            json.dump(self.to_artifact(), f, indent=2, sort_keys=True)
-            f.write("\n")
-        return path
-
     def to_table(self) -> Table:
         t = Table(["policy", "MTBF [h]", "interval", "failures",
                    "mem rec", "PFS rec", "ovh [s]", "lost [s]",
@@ -406,7 +395,6 @@ def run_resilience_multilevel(machine=None, nodes: int = 2,
                               intervals=CKPT_INTERVALS,
                               ranks_per_node: int = 128,
                               l3_every: int = 4,
-                              artifact_path: str | None = None,
                               ) -> MultiLevelResult:
     """Sweep tier policy × MTBF × interval against the Young/Daly optimum.
 
@@ -470,17 +458,4 @@ def run_resilience_multilevel(machine=None, nodes: int = 2,
             f"MTBF {mtbf_h:g} h: Young/Daly interval {daly_steps} steps, "
             f"baseline efficiency {daly_row.efficiency:.4f}")
 
-    if artifact_path is not None:
-        result.save_artifact(artifact_path)
-        result.notes.append(f"artifact written to {artifact_path}")
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run_resilience().render())
-    print(run_resilience_multilevel(
-        artifact_path="results/resilience_multilevel.json").render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -23,13 +23,11 @@ fleet once the combined working set is cache-resident.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 from repro.cluster.presets import dardel
 from repro.darshan import DarshanMonitor
-from repro.experiments.common import resolve_machine, subset
+from repro.experiments.common import render_checked, resolve_machine, subset
 from repro.experiments.sweep import sweep
 from repro.fs import PosixIO, mount
 from repro.mpi import VirtualComm
@@ -125,7 +123,6 @@ class ServingResult:
     seed: int
     rows: list[ServingRow] = field(default_factory=list)
     checks: dict = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
 
     def row(self, pattern: str, policy: str, readers: int,
             cache_mib: int) -> ServingRow | None:
@@ -194,15 +191,6 @@ class ServingResult:
             "rows": [r.to_dict() for r in self.rows],
         }
 
-    def save_artifact(self, path: str) -> str:
-        d = os.path.dirname(path)
-        if d:
-            os.makedirs(d, exist_ok=True)
-        with open(path, "w") as f:
-            json.dump(self.to_artifact(), f, indent=2, sort_keys=True)
-            f.write("\n")
-        return path
-
     def to_table(self) -> Table:
         t = Table(["pattern", "policy", "readers", "cache [MiB]", "hit",
                    "thr [GiB/s]", "lat [ms]", "pf used/issued", "evict",
@@ -221,24 +209,15 @@ class ServingResult:
         return t
 
     def render(self) -> str:
-        out = self.to_table().render()
-        for name, c in sorted(self.checks.items()):
-            status = "pass" if c.get("pass") else "FAIL"
-            detail = ", ".join(f"{k}={v:.3f}" if isinstance(v, float)
-                               else f"{k}={v}" for k, v in c.items()
-                               if k != "pass")
-            out += f"\n  check {name}: {status} ({detail})"
-        if self.notes:
-            out += "\n" + "\n".join(f"  note: {n}" for n in self.notes)
-        return out
+        return render_checked(self.to_table(), self.checks)
 
 
 def run_serving(machine=None, patterns=PATTERNS, policies=POLICIES,
                 reader_counts=READER_COUNTS, cache_mib=CACHE_MIB,
                 prefetch_depth: int = 2, nodes: int = PRODUCER_NODES,
                 requests_per_reader: int = REQUESTS_PER_READER,
-                quick: bool = False, seed: int = 0, config=None,
-                artifact_path: str | None = None) -> ServingResult:
+                quick: bool = False, seed: int = 0,
+                config=None) -> ServingResult:
     """Sweep pattern × policy × readers × cache size over one series."""
     machine = resolve_machine(machine) if machine is not None else dardel()
     patterns = subset(tuple(patterns), quick)
@@ -278,20 +257,4 @@ def run_serving(machine=None, patterns=PATTERNS, policies=POLICIES,
             darshan_read_gib=to_gib(rep["darshan_bytes_read"])))
 
     result.checks = result._check_cells()
-    failed = [k for k, c in result.checks.items() if not c.get("pass")]
-    result.notes.append(
-        f"{len(result.checks) - len(failed)}/{len(result.checks)} "
-        f"acceptance checks pass"
-        + (f"; failing: {failed}" if failed else ""))
-    if artifact_path is not None:
-        result.save_artifact(artifact_path)
-        result.notes.append(f"artifact written to {artifact_path}")
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run_serving(artifact_path="results/serving.json").render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -1,17 +1,18 @@
 """The autotuner experiment: tuner-found vs paper-reported configs.
 
 Runs :func:`repro.tuning.tune` per machine model (Dardel, Discoverer,
-Vega — the three systems of §III-C) on the paper's workload and emits
-``results/tuned_configs.json``: one entry per machine × workload with
-the winning configuration, its predicted throughput/makespan, the
-search trace, and the probes-evaluated vs probes-cached split.  The
+Vega — the three systems of §III-C) on the paper's workload.  Its
+artifact (``to_artifact()``, written by the experiment CLI) holds one
+entry per machine × workload with the winning configuration, its
+predicted throughput/makespan, the search trace, and the
+probes-evaluated vs probes-cached split.  The
 paper-reported configuration (BP4, two aggregators per node per Fig. 6,
 ``lfs setstripe -c 8 -S 16M`` per Table III / Listing 1) is seeded into
 every search as a protected baseline, so the tuner matches or beats its
 modeled objective by construction — the interesting output is *how
 much* and *where* the optimum moves per machine.
 
-If an artifact from an earlier run exists, the driver first runs the
+If an artifact from an earlier run is given, the driver first runs the
 regression mode: it re-reads the artifact's pinned source fingerprint,
 refreshes the in-process fingerprint memo
 (:func:`~repro.experiments.sweep.invalidate_fingerprint`), re-probes
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 
 from repro.cluster.presets import dardel, discoverer, vega
@@ -97,9 +97,10 @@ class TuningExperimentResult:
     """Everything one ``tune`` invocation found, plus the artifact."""
 
     objective: str
+    #: the tuned workload, recorded in the artifact
+    config: Bit1Config
     entries: list[MachineTuningEntry] = field(default_factory=list)
     regression: RegressionReport | None = None
-    artifact_path: str | None = None
 
     def to_table(self) -> Table:
         unit = OBJECTIVES[self.objective][1]
@@ -132,11 +133,9 @@ class TuningExperimentResult:
                        f"{e.paper_candidate.label()}; search probed "
                        f"{e.result.probes_total} points "
                        f"({e.result.cached_fraction:.0%} from cache)")
-        if self.artifact_path:
-            out.append(f"  artifact: {self.artifact_path}")
         return "\n".join(out)
 
-    def artifact(self, config: Bit1Config) -> dict:
+    def to_artifact(self) -> dict:
         entries = []
         for e in self.entries:
             r = e.result
@@ -144,7 +143,7 @@ class TuningExperimentResult:
                 "machine": r.machine,
                 "workload": e.workload,
                 "nodes": r.nodes,
-                "config": _config_to_json(config),
+                "config": _config_to_json(self.config),
                 "best": r.best.to_dict(),
                 "predicted": {
                     "objective": r.best_objective,
@@ -196,12 +195,14 @@ def check_artifact(artifact: dict, objective: str | None = None,
 def run_tuning(quick: bool = False, machines=None, nodes: int | None = None,
                objective: str = "throughput", space: TuningSpace | None = None,
                config: Bit1Config | None = None, seed: int = 0,
-               artifact_path: str | None = "results/tuned_configs.json",
+               artifact_path: str | None = None,
                regression_only: bool = False, point_fn=None,
                jobs: int | None = None, cache_dir: str | None = None
                ) -> TuningExperimentResult:
-    """Tune every machine model and (re)write the recommendation artifact.
+    """Tune every machine model; ``to_artifact()`` is the recommendation
+    artifact.
 
+    A previous artifact at ``artifact_path`` is re-validated first.
     ``regression_only=True`` stops after the artifact re-validation —
     the service-mode health check ("are yesterday's recommendations
     still valid under today's model?").
@@ -216,10 +217,9 @@ def run_tuning(quick: bool = False, machines=None, nodes: int | None = None,
         config = (paper_use_case().with_(last_step=4_000, dmpstep=2_000)
                   if quick else paper_use_case())
     workload = "paper-quick" if quick else "paper"
-    result = TuningExperimentResult(objective=objective,
-                                    artifact_path=artifact_path)
+    result = TuningExperimentResult(objective=objective, config=config)
 
-    if artifact_path and os.path.exists(artifact_path):
+    if artifact_path:
         try:
             with open(artifact_path) as f:
                 artifact = json.load(f)
@@ -249,22 +249,9 @@ def run_tuning(quick: bool = False, machines=None, nodes: int | None = None,
             paper_report=paper_report,
             paper_objective=float(score(paper_report))))
 
-    if artifact_path:
-        os.makedirs(os.path.dirname(artifact_path) or ".", exist_ok=True)
-        with open(artifact_path, "w") as f:
-            json.dump(result.artifact(config), f, indent=2, sort_keys=True)
-            f.write("\n")
     return result
 
 
 def _default_point_fn():
     from repro.experiments.points import tuning_report
     return tuning_report
-
-
-def main() -> None:  # pragma: no cover
-    print(run_tuning().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -6,7 +6,7 @@ model (successive halving over workload fidelity + coordinate
 hill-climb, every probe a cached
 :func:`repro.experiments.points.tuning_report` evaluation) and
 re-validates its recommendations when the model source changes.  The
-experiment driver that emits ``results/tuned_configs.json`` lives in
+experiment driver behind the ``tune`` artifact lives in
 :mod:`repro.experiments.tuning`.
 """
 

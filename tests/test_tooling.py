@@ -2,6 +2,7 @@
 CLI entry points, BP5 buffering."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,8 @@ from repro.darshan import write_throughput_gib
 from repro.experiments.postproc import run_postproc
 from repro.experiments.report import SECTIONS, build_report, write_report
 from repro.workloads import run_openpmd_scaled, run_original_scaled
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestReportGenerator:
@@ -87,9 +90,10 @@ class TestBP5Buffering:
 
 
 class TestCLIs:
-    def _run(self, *args):
+    def _run(self, *args, **kw):
         return subprocess.run([sys.executable, "-m", *args],
-                              capture_output=True, text=True, timeout=240)
+                              capture_output=True, text=True, timeout=240,
+                              **kw)
 
     def test_darshan_cli_total_and_summary(self, tmp_path):
         res = run_original_scaled(dardel(), 1)
@@ -112,9 +116,41 @@ class TestCLIs:
         assert out.returncode == 0
         assert "memory copies eliminated by compression: True" in out.stdout
 
+    def test_experiments_cli_quick_never_writes_results(self, tmp_path):
+        work, tmp = tmp_path / "work", tmp_path / "tmp"
+        work.mkdir()
+        tmp.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), TMPDIR=str(tmp),
+                   REPRO_SWEEP_CACHE="")
+        out = self._run("repro.experiments", "--quick", "resilience_ml",
+                        cwd=work, env=env)
+        assert out.returncode == 0, out.stderr
+        assert not (work / "results").exists()
+        [line] = [ln for ln in out.stdout.splitlines()
+                  if "artifact written to" in ln]
+        path = Path(line.split("artifact written to ", 1)[1])
+        assert tmp in path.parents
+        assert json.loads(path.read_text())["experiment"] == \
+            "resilience_multilevel"
+
     def test_experiments_cli_unknown(self):
+        from repro.experiments.__main__ import REGISTRY
+
         out = self._run("repro.experiments", "fig99")
         assert out.returncode == 2
+        assert "'fig99'" in out.stderr
+        assert all(name in out.stderr for name in REGISTRY)
+
+    def test_resilience_ml_artifact_is_reproducible(self, tmp_path,
+                                                    monkeypatch):
+        """The full ``resilience_ml`` entry regenerates the committed
+        artifact byte for byte, tying it to the model sources."""
+        from repro.experiments.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["resilience_ml"]) == 0
+        name = "results/resilience_multilevel.json"
+        assert (tmp_path / name).read_bytes() == (REPO / name).read_bytes()
 
     def test_ior_cli_table1_command(self):
         out = self._run("repro.ior", "--machine", "dardel",

@@ -9,11 +9,16 @@ deliberately perturbed model source.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cluster.presets import dardel, discoverer
 from repro.experiments import sweep as sw
+from repro.experiments.common import write_artifact
 from repro.experiments.points import tuning_report
 from repro.experiments.sweep import invalidate_fingerprint
 from repro.experiments.tuning import (
@@ -223,11 +228,15 @@ class TestTuningPoint:
 
 class TestExperimentDriver:
     def _run(self, tmp_path, quick_cfg, **kw):
-        return run_tuning(
+        """One ``tune`` CLI step: re-validate, tune, write the artifact."""
+        path = str(tmp_path / "tuned_configs.json")
+        result = run_tuning(
             machines=(dardel(),), nodes=2, space=TuningSpace.quick(),
             config=quick_cfg, point_fn=synthetic_report, jobs=1,
-            artifact_path=str(tmp_path / "tuned_configs.json"),
-            cache_dir=str(tmp_path / "cache"), **kw)
+            artifact_path=path, cache_dir=str(tmp_path / "cache"), **kw)
+        if not kw.get("regression_only"):
+            write_artifact(path, result.to_artifact())
+        return result
 
     def test_artifact_written_with_required_fields(self, tmp_path,
                                                    quick_cfg):
@@ -269,12 +278,10 @@ class TestRegressionMode:
         invalidate_fingerprint()
 
     def _artifact(self, tmp_path, quick_cfg):
-        run_tuning(machines=(dardel(),), nodes=2,
-                   space=TuningSpace.quick(), config=quick_cfg,
-                   point_fn=synthetic_report, jobs=1,
-                   artifact_path=str(tmp_path / "tuned.json"),
-                   cache_dir=str(tmp_path / "cache"))
-        return json.loads((tmp_path / "tuned.json").read_text())
+        return run_tuning(machines=(dardel(),), nodes=2,
+                          space=TuningSpace.quick(), config=quick_cfg,
+                          point_fn=synthetic_report, jobs=1,
+                          cache_dir=str(tmp_path / "cache")).to_artifact()
 
     def test_perturbed_model_source_is_flagged(
             self, restore_fingerprint, monkeypatch, tmp_path, quick_cfg):
@@ -322,7 +329,6 @@ class TestEndToEnd:
                                                       quick_cfg):
         kw = dict(machines=(dardel(),), nodes=2,
                   space=TuningSpace.quick(), config=quick_cfg, jobs=1,
-                  artifact_path=str(tmp_path / "tuned_configs.json"),
                   cache_dir=str(tmp_path / "cache"))
         first = run_tuning(**kw)
         entry = first.entries[0]
@@ -332,3 +338,13 @@ class TestEndToEnd:
         second = run_tuning(**kw)
         assert second.entries[0].result.cached_fraction >= 0.95
         assert second.entries[0].result.best == entry.result.best
+
+
+def test_import_tuning_first_in_fresh_interpreter():
+    """``import repro.tuning`` must not trip over the experiments package
+    (its tuning driver imports repro.tuning back)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", "import repro.tuning"],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stderr
