@@ -8,7 +8,12 @@ from repro.adios2.aggregation import (
 )
 from repro.adios2.bp4 import BP3Engine, BP4Engine
 from repro.adios2.bp5 import BP5Engine
-from repro.adios2.engine import BPEngineBase, EngineConfig, IntegrityError
+from repro.adios2.engine import (
+    BPEngineBase,
+    EngineBase,
+    EngineConfig,
+    IntegrityError,
+)
 from repro.adios2.profiling import PROFILE_CATEGORIES, EngineProfile
 from repro.adios2.sst import (
     SSTEngine,
@@ -54,6 +59,7 @@ __all__ = [
     "BP5Engine",
     "BPEngineBase",
     "Chunk",
+    "EngineBase",
     "SSTEngine",
     "SSTReader",
     "StagingBackpressure",

@@ -23,6 +23,10 @@ Functional mode (real payloads) produces a self-describing container:
 ``md.0`` holds JSON-lines chunk records and the subfiles hold the (maybe
 compressed) bytes, so a fresh engine can re-open the directory and read
 every variable back — checkpoint/restart round-trips work end to end.
+
+The step/staging/lifecycle front end, :class:`EngineBase`, is shared
+with the HDF5, JSON and SST engines; only the flush, the read side and
+``close`` are BP's own.
 """
 
 from __future__ import annotations
@@ -174,20 +178,21 @@ class IntegrityError(RuntimeError):
                         "expected": expected, "actual": actual}
 
 
-class BPEngineBase:
-    """Shared implementation of the BP-family file engines."""
+class EngineBase:
+    """The engine front end every backend shares (BP, HDF5, JSON, SST).
 
-    engine_type = "BP"
-    extension = ".bp"
-    extra_meta_files: tuple[str, ...] = ()
-    #: engine-default staging bound (overridden per subclass); None =
-    #: buffer the whole step (BP4)
-    default_buffer_chunk: int | None = None
-    #: BP5 ships chunks through a node-local shm funnel before the
-    #: inter-node subfile shuffle; BP4/BP3 shuffle rank→owner directly
-    two_level_shuffle: bool = False
+    Owns the step protocol (``begin_step`` → ``declare_variable``/
+    ``put``/``put_group`` → ``end_step``), the staging state, the
+    attribute table, the lifecycle guards and the crash path.  A
+    backend adds only its flush (``end_step``), its read side and its
+    ``close`` — one interface serves files and streams alike.
+    """
 
-    def __init__(self, posix: PosixIO, comm: VirtualComm, path: str,
+    #: set by every backend: the profile/scope label and the path suffix
+    engine_type: str
+    extension: str
+
+    def __init__(self, posix: PosixIO | None, comm: VirtualComm, path: str,
                  mode: str = "w", config: EngineConfig | None = None):
         if mode not in ("w", "r", "a"):
             raise ValueError(f"unsupported engine mode {mode!r}")
@@ -196,121 +201,33 @@ class BPEngineBase:
         self.path = path if path.endswith(self.extension) else path + self.extension
         self.mode = mode
         self.config = config or EngineConfig()
-        self.compressor: Compressor | None = (
-            get_compressor(self.config.compressor)
-            if self.config.compressor else None
-        )
         if self.config.profile_granularity not in ("rank", "node"):
             raise ValueError(
                 "profile_granularity must be 'rank' or 'node', got "
                 f"{self.config.profile_granularity!r}")
-        self.plan: AggregationPlan = plan_aggregation(
-            comm, self.config.num_aggregators)
         self.profile = EngineProfile(
             comm.size, self.engine_type,
             bin_of_rank=(comm.node_of_rank
                          if self.config.profile_granularity == "node"
                          else None))
-        # this engine's profiling.json is a fold over the event spine:
-        # the engine emits typed events (scoped to itself, so two open
+        # this engine's profile is a fold over the event spine: the
+        # engine emits typed events (scoped to itself, so two open
         # engines on one bus stay separate) and the fold accumulates
-        self._trace_scope = f"{self.engine_type}:{self.path}"
-        self._fold = ProfileFold(self.profile, scope=self._trace_scope)
-        posix.trace.subscribe(self._fold)
-        self._index: list[_IndexEntry] = []
-        self._slots: dict[str, _SlotSpans] = {}
-        self._subfile_tails = np.zeros(self.plan.num_aggregators, dtype=np.int64)
-        m = self.plan.num_aggregators
-        #: async-drain bookkeeping (virtual time the in-flight drain of
-        #: each subfile completes, plus its batch schedule for residual
-        #: host-memory accounting) — inert in sync mode
-        self._drain_until = np.zeros(m, dtype=np.float64)
-        self._drain_ends: list[np.ndarray] = [np.zeros(0)] * m
-        self._drain_bytes: list[np.ndarray] = [np.zeros(0)] * m
-        #: high-water resident staging bytes per subfile buffer
-        self.peak_host_bytes = np.zeros(m, dtype=np.float64)
-        #: per-rank seconds stalled waiting on an unfinished drain —
-        #: only the async path writes it, so the sync path keeps an
-        #: empty array instead of an O(ranks) block of zeros
-        self.drain_wait_seconds = np.zeros(
-            comm.size if self.config.async_drain else 0, dtype=np.float64)
-        #: engine staging bytes ledger on the ambient memory budget
-        self._mem_account = current_budget().account("engine")
-        #: per-subfile seconds the background drain was busy
-        self.drain_seconds = np.zeros(m, dtype=np.float64)
+        self._trace_scope = self._scope_token()
+        self._fold: ProfileFold | None = None
+        if posix is not None:
+            self._fold = ProfileFold(self.profile, scope=self._trace_scope)
+            posix.trace.subscribe(self._fold)
         self._step = -1
         self._in_step = False
         self._closed = False
         self._cur_vars: dict[str, Variable] = {}
-        self._cur_bulk: list[tuple[str, np.ndarray, np.ndarray, str]] = []
+        self._cur_bulk: list[tuple[str, np.ndarray | None, object, str]] = []
         self._attributes: dict[str, Attribute] = {}
-        if mode in ("w", "a"):
-            self._create_layout(truncate=(mode == "w"))
-        else:
-            self._open_for_read()
 
-    # -- layout ---------------------------------------------------------------
-
-    def _subfile_path(self, i: int) -> str:
-        return f"{self.path}/data.{i}"
-
-    def _create_layout(self, truncate: bool) -> None:
-        root_rank = 0
-        if not self.posix.exists(self.path):
-            self.posix.mkdir(root_rank, self.path, parents=True)
-        m = self.plan.num_aggregators
-        agg_ranks = self.plan.aggregator_ranks
-        self._data_fds = self.posix.open_group(
-            agg_ranks, [self._subfile_path(i) for i in range(m)],
-            create=True, truncate=truncate,
-        )
-        self._md_fd = self.posix.open(root_rank, f"{self.path}/md.0",
-                                      create=True, truncate=truncate)
-        self._idx_fd = self.posix.open(root_rank, f"{self.path}/md.idx",
-                                       create=True, truncate=truncate)
-        self._extra_fds = {
-            name: self.posix.open(root_rank, f"{self.path}/{name}",
-                                  create=True, truncate=truncate)
-            for name in self.extra_meta_files
-        }
-        if truncate:
-            self._append_md(MD0_HEADER, real=self._header_json())
-            self._append_idx(MDIDX_HEADER)
-
-    def _header_json(self) -> bytes:
-        head = {
-            "engine": self.engine_type,
-            "nranks": self.comm.size,
-            "aggregators": int(self.plan.num_aggregators),
-            "compressor": self.config.compressor,
-        }
-        return (json.dumps({"header": head}) + "\n").encode()
-
-    def _attributes_json(self) -> bytes:
-        doc = {"attributes": {name: attr.value
-                              for name, attr in self._attributes.items()}}
-        try:
-            return (json.dumps(doc) + "\n").encode()
-        except TypeError:  # non-JSON attribute values: store repr
-            doc = {"attributes": {name: repr(attr.value)
-                                  for name, attr in self._attributes.items()}}
-            return (json.dumps(doc) + "\n").encode()
-
-    def _append_md(self, nbytes_model: int, real: bytes | None = None) -> None:
-        # metadata appends are buffered rank-0 stream writes, not part of
-        # the contended data phase — cost them uncontended
-        payload = (RealPayload(real, entropy="metadata") if real is not None
-                   else SyntheticPayload(nbytes_model, "metadata"))
-        with self.posix.phase(writers=1):
-            self.posix.write(0, self._md_fd, payload, meta=True)
-            for fd in getattr(self, "_extra_fds", {}).values():
-                self.posix.write(0, fd, SyntheticPayload(
-                    max(nbytes_model // 2, 16), "metadata"), meta=True)
-
-    def _append_idx(self, nbytes: int) -> None:
-        with self.posix.phase(writers=1):
-            self.posix.write(0, self._idx_fd,
-                             SyntheticPayload(nbytes, "metadata"), meta=True)
+    def _scope_token(self) -> str:
+        """Trace-scope token this engine's events (and its fold) carry."""
+        return f"{self.engine_type}:{self.path}"
 
     # -- write-side API -----------------------------------------------------------
 
@@ -378,6 +295,178 @@ class BPEngineBase:
             np.asarray(nbytes_each, dtype=np.int64), ranks.shape).copy()
         self._cur_bulk.append((name, ranks, nbytes, entropy))
 
+    def _staged_bytes(self) -> np.ndarray:
+        """Bytes staged per rank this step (chunks plus groups)."""
+        n = self.comm.size
+        staged = np.zeros(n, dtype=np.float64)
+        for var in self._cur_vars.values():
+            staged += var.per_rank_bytes(n)
+        for _name, ranks, nbytes, _entropy in self._cur_bulk:
+            if ranks is None:
+                staged += nbytes.slice(0, n).astype(np.float64)
+            else:
+                scatter_add(staged, ranks, nbytes.astype(np.float64))
+        return staged
+
+    # -- fault plane --------------------------------------------------------------
+
+    def handle_rank_failure(self, dead_ranks) -> None:
+        """React to dead ranks; only aggregating engines have to."""
+
+    def _open_fds(self) -> list:
+        """Descriptors (or fd arrays) this engine holds open."""
+        return []
+
+    def abandon(self) -> None:
+        """Drop the engine as a crashed process would: no closing I/O.
+
+        Descriptors are reaped without metadata cost and the profile fold
+        is unsubscribed; whatever was flushed stays on disk exactly as
+        the crash left it.
+        """
+        if self._closed:
+            return
+        for fds in self._open_fds():
+            self.posix.release_fds(fds)
+        self._unsubscribe()
+        self._in_step = False
+        self._closed = True
+
+    # -- lifecycle ----------------------------------------------------------------
+
+    def _unsubscribe(self) -> None:
+        if self._fold is not None:
+            self.posix.trace.unsubscribe(self._fold)
+
+    def _check_writable(self) -> None:
+        if self._closed:
+            raise RuntimeError("engine is closed")
+        if self.mode == "r":
+            raise RuntimeError("engine opened read-only")
+
+    def _check_in_step(self) -> None:
+        self._check_writable()
+        if not self._in_step:
+            raise RuntimeError("call begin_step() first")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class BPEngineBase(EngineBase):
+    """Shared implementation of the BP-family file engines."""
+
+    engine_type = "BP"
+    extension = ".bp"
+    extra_meta_files: tuple[str, ...] = ()
+    #: engine-default staging bound (overridden per subclass); None =
+    #: buffer the whole step (BP4)
+    default_buffer_chunk: int | None = None
+    #: BP5 ships chunks through a node-local shm funnel before the
+    #: inter-node subfile shuffle; BP4/BP3 shuffle rank→owner directly
+    two_level_shuffle: bool = False
+
+    def __init__(self, posix: PosixIO, comm: VirtualComm, path: str,
+                 mode: str = "w", config: EngineConfig | None = None):
+        super().__init__(posix, comm, path, mode, config)
+        self.compressor: Compressor | None = (
+            get_compressor(self.config.compressor)
+            if self.config.compressor else None
+        )
+        self.plan: AggregationPlan = plan_aggregation(
+            comm, self.config.num_aggregators)
+        self._index: list[_IndexEntry] = []
+        self._slots: dict[str, _SlotSpans] = {}
+        self._subfile_tails = np.zeros(self.plan.num_aggregators, dtype=np.int64)
+        m = self.plan.num_aggregators
+        #: async-drain bookkeeping (virtual time the in-flight drain of
+        #: each subfile completes, plus its batch schedule for residual
+        #: host-memory accounting) — inert in sync mode
+        self._drain_until = np.zeros(m, dtype=np.float64)
+        self._drain_ends: list[np.ndarray] = [np.zeros(0)] * m
+        self._drain_bytes: list[np.ndarray] = [np.zeros(0)] * m
+        #: high-water resident staging bytes per subfile buffer
+        self.peak_host_bytes = np.zeros(m, dtype=np.float64)
+        #: per-rank seconds stalled waiting on an unfinished drain —
+        #: only the async path writes it, so the sync path keeps an
+        #: empty array instead of an O(ranks) block of zeros
+        self.drain_wait_seconds = np.zeros(
+            comm.size if self.config.async_drain else 0, dtype=np.float64)
+        #: engine staging bytes ledger on the ambient memory budget
+        self._mem_account = current_budget().account("engine")
+        #: per-subfile seconds the background drain was busy
+        self.drain_seconds = np.zeros(m, dtype=np.float64)
+        if mode in ("w", "a"):
+            self._create_layout(truncate=(mode == "w"))
+        else:
+            self._open_for_read()
+
+    # -- layout ---------------------------------------------------------------
+
+    def _subfile_path(self, i: int) -> str:
+        return f"{self.path}/data.{i}"
+
+    def _create_layout(self, truncate: bool) -> None:
+        root_rank = 0
+        if not self.posix.exists(self.path):
+            self.posix.mkdir(root_rank, self.path, parents=True)
+        m = self.plan.num_aggregators
+        agg_ranks = self.plan.aggregator_ranks
+        self._data_fds = self.posix.open_group(
+            agg_ranks, [self._subfile_path(i) for i in range(m)],
+            create=True, truncate=truncate,
+        )
+        self._md_fd = self.posix.open(root_rank, f"{self.path}/md.0",
+                                      create=True, truncate=truncate)
+        self._idx_fd = self.posix.open(root_rank, f"{self.path}/md.idx",
+                                       create=True, truncate=truncate)
+        self._extra_fds = {
+            name: self.posix.open(root_rank, f"{self.path}/{name}",
+                                  create=True, truncate=truncate)
+            for name in self.extra_meta_files
+        }
+        if truncate:
+            self._append_md(MD0_HEADER, real=self._header_json())
+            self._append_idx(MDIDX_HEADER)
+
+    def _header_json(self) -> bytes:
+        head = {
+            "engine": self.engine_type,
+            "nranks": self.comm.size,
+            "aggregators": int(self.plan.num_aggregators),
+            "compressor": self.config.compressor,
+        }
+        return (json.dumps({"header": head}) + "\n").encode()
+
+    def _attributes_json(self) -> bytes:
+        doc = {"attributes": {name: attr.value
+                              for name, attr in self._attributes.items()}}
+        try:
+            return (json.dumps(doc) + "\n").encode()
+        except TypeError:  # non-JSON attribute values: store repr
+            doc = {"attributes": {name: repr(attr.value)
+                                  for name, attr in self._attributes.items()}}
+            return (json.dumps(doc) + "\n").encode()
+
+    def _append_md(self, nbytes_model: int, real: bytes | None = None) -> None:
+        # metadata appends are buffered rank-0 stream writes, not part of
+        # the contended data phase — cost them uncontended
+        payload = (RealPayload(real, entropy="metadata") if real is not None
+                   else SyntheticPayload(nbytes_model, "metadata"))
+        with self.posix.phase(writers=1):
+            self.posix.write(0, self._md_fd, payload, meta=True)
+            for fd in self._extra_fds.values():
+                self.posix.write(0, fd, SyntheticPayload(
+                    max(nbytes_model // 2, 16), "metadata"), meta=True)
+
+    def _append_idx(self, nbytes: int) -> None:
+        with self.posix.phase(writers=1):
+            self.posix.write(0, self._idx_fd,
+                             SyntheticPayload(nbytes, "metadata"), meta=True)
+
     # -- flush ------------------------------------------------------------------------
 
     def end_step(self, overwrite_key: str | None = None) -> None:
@@ -412,16 +501,7 @@ class BPEngineBase:
                 and all(r is None for _nm, r, _b, _e in self._cur_bulk)):
             per_agg = self._flush_blocked(block)
         else:
-            staged = np.zeros(n, dtype=np.float64)
-            for var in self._cur_vars.values():
-                staged += var.per_rank_bytes(n)
-            for _name, ranks, nbytes, _entropy in self._cur_bulk:
-                if ranks is None:
-                    staged += nbytes.slice(0, n).astype(np.float64)
-                else:
-                    scatter_add(staged, ranks, nbytes.astype(np.float64))
-
-            stored = self._apply_operator(staged)
+            stored = self._apply_operator(self._staged_bytes())
             gather_fn = (two_level_gather_cost if self.two_level_shuffle
                          else gather_cost_seconds)
             gather = gather_fn(self.plan, stored, self.comm)
@@ -880,30 +960,18 @@ class BPEngineBase:
                      inos=self.posix._fd_ino[self._data_fds[changed]])
         self.plan = new_plan
 
-    def abandon(self) -> None:
-        """Drop the engine as a crashed process would: no closing I/O.
+    def _open_fds(self) -> list:
+        if self.mode == "r":
+            return []
+        return [self._data_fds, self._md_fd, self._idx_fd,
+                *self._extra_fds.values()]
 
-        Descriptors are reaped without metadata cost and the profile fold
-        is unsubscribed; whatever was flushed stays on disk exactly as
-        the crash left it (``md.0`` is JSON-lines appended per step, so
-        it stays readable up to the last completed flush).
-        """
-        if self._closed:
-            return
-        # a crashed process's drain thread dies with it: pending drains
-        # are dropped, nobody waits on them
+    def abandon(self) -> None:
+        # ``md.0`` is JSON-lines appended per step, so a crashed series
+        # stays readable up to the last completed flush; the crashed
+        # process's drain thread dies with it and nobody waits on it
         self._drain_until[:] = 0.0
-        if len(self._data_fds):
-            self.posix.release_fds(self._data_fds)
-        for attr in ("_md_fd", "_idx_fd"):
-            fd = getattr(self, attr, None)
-            if fd is not None:
-                self.posix.release_fds(fd)
-        for fd in getattr(self, "_extra_fds", {}).values():
-            self.posix.release_fds(fd)
-        self.posix.trace.unsubscribe(self._fold)
-        self._in_step = False
-        self._closed = True
+        super().abandon()
 
     # -- lifecycle ----------------------------------------------------------------------
 
@@ -928,27 +996,8 @@ class BPEngineBase:
             self.posix.close(0, self._idx_fd)
             for fd in self._extra_fds.values():
                 self.posix.close(0, fd)
-        self.posix.trace.unsubscribe(self._fold)
+        self._unsubscribe()
         self._closed = True
-
-    # -- guards --------------------------------------------------------------------------
-
-    def _check_writable(self) -> None:
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        if self.mode == "r":
-            raise RuntimeError("engine opened read-only")
-
-    def _check_in_step(self) -> None:
-        self._check_writable()
-        if not self._in_step:
-            raise RuntimeError("call begin_step() first")
-
-    def __enter__(self) -> "BPEngineBase":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def _numpy_dtype(adios_name: str) -> np.dtype:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.trace.events import DATA_KINDS, IOEvent, make_event
+from repro.trace.events import DATA_KINDS, IOEvent
 
 #: spine kinds → the two-op DXT vocabulary real darshan-dxt-parser emits
 _DXT_OP = {"write": "write", "read": "read",
@@ -180,15 +180,7 @@ class TracingMonitor:
         self.monitor.register_files(inos, paths)
 
     def on_event(self, event: IOEvent) -> None:
-        fold = getattr(self.monitor, "on_event", None)
-        if fold is not None:
-            fold(event)
-        else:  # pre-spine monitor: translate back to record() vocabulary
-            self.monitor.record(
-                "sync" if event.kind == "fsync" else event.kind,
-                ranks=event.ranks, nbytes=event.nbytes,
-                seconds=event.duration, api=event.api, inos=event.inos,
-                n_ops=event.n_ops)
+        self.monitor.on_event(event)
         if event.kind not in DATA_KINDS or event.inos is None:
             return
         self._trace_row(event.api, event.kind, event.ranks, event.inos,
@@ -197,17 +189,11 @@ class TracingMonitor:
     def on_batch(self, batch) -> None:
         """Fold a struct-of-arrays batch: forward once, trace data rows.
 
-        The wrapped monitor gets the whole batch in one call when it
-        can take it; DXT segments come straight off the batch columns,
-        row by row in sequence order.
+        The wrapped monitor gets the whole batch in one call; DXT
+        segments come straight off the batch columns, row by row in
+        sequence order.
         """
-        fold = getattr(self.monitor, "on_batch", None)
-        if fold is not None:
-            fold(batch)
-        else:
-            for event in batch.events():
-                self.on_event(event)
-            return
+        self.monitor.on_batch(batch)
         if batch.inos is None:
             return
         for i, kind in enumerate(batch.kinds):
@@ -221,17 +207,3 @@ class TracingMonitor:
                  for i in np.broadcast_to(inos, ranks.shape)]
         self.dxt.record(f"DXT_{api}", _DXT_OP[kind],
                         ranks, paths, nbytes, start, end)
-
-    def record(self, kind: str, ranks, nbytes, seconds, api: str,
-               inos=None, n_ops=1) -> None:
-        """Legacy entry point: wrap in an event with clock timestamps."""
-        ranks_arr = np.atleast_1d(np.asarray(ranks))
-        secs = np.broadcast_to(np.asarray(seconds, dtype=np.float64),
-                               ranks_arr.shape)
-        # the clock was already advanced by the caller: end = now
-        ends = self.comm.clocks[ranks_arr]
-        self.on_event(make_event(
-            "fsync" if kind == "sync" else kind, ranks_arr, nbytes=nbytes,
-            duration=secs, start=ends - secs, n_ops=n_ops, api=api,
-            layer={"STDIO": "stdio", "MPIIO": "mpiio"}.get(api, "posix"),
-            inos=inos))

@@ -30,11 +30,7 @@ from repro.fs.mount import MountedFilesystem
 from repro.fs.payload import Payload, RealPayload, SyntheticPayload, as_payload
 from repro.mpi.comm import VirtualComm
 from repro.trace.bus import TraceBus
-from repro.trace.subscribers import LegacyMonitorAdapter
 from repro.util.scatter import scatter_add
-
-#: legacy op names → spine event kinds
-_KIND_ALIAS = {"sync": "fsync"}
 
 #: api string → spine layer tag (everything else is the POSIX boundary)
 _API_LAYER = {"STDIO": "stdio", "MPIIO": "mpiio"}
@@ -77,12 +73,9 @@ class PosixIO:
         self.trace = trace if trace is not None else TraceBus(
             node_of_rank=getattr(comm, "node_of_rank", None))
         if monitor is not None:
-            # back-compat: a monitor passed directly becomes the first
-            # subscriber (modern callers subscribe via the session)
-            if hasattr(monitor, "on_event"):
-                self.trace.subscribe(monitor)
-            else:
-                self.trace.subscribe(LegacyMonitorAdapter(monitor))
+            # a monitor passed directly becomes the first subscriber
+            # (modern callers subscribe via the session)
+            self.trace.subscribe(monitor)
         self._fds: dict[int, OpenFile] = {}
         self._fd_ino = np.full(256, -1, dtype=np.int64)  # fd -> ino map
         self._next_fd = 3  # 0-2 are stdin/out/err, as tradition demands
@@ -132,7 +125,6 @@ class PosixIO:
         clocks (so ``clock - duration`` is the op's start time).  An
         explicit ``start`` overrides that inference — used for writes
         scheduled in the future (the async subfile drain)."""
-        kind = _KIND_ALIAS.get(kind, kind)
         bus = self.trace
         if not bus.wants(kind):
             return
@@ -299,7 +291,7 @@ class PosixIO:
             sync_cost = float(self.fs.perf.fsync_cost(
                 self._writers, stripe_count, n_ops=n_chunks))
             self._charge(rank, sync_cost)
-            self._notify("sync", rank, 0, sync_cost, api, inos=of.ino,
+            self._notify("fsync", rank, 0, sync_cost, api, inos=of.ino,
                          n_ops=n_chunks)
         return n
 
@@ -344,7 +336,7 @@ class PosixIO:
         if sync_each_chunk:
             sync_cost = float(self.fs.perf.fsync_cost(
                 self._writers, stripe_count, n_ops=n_chunks))
-            self._notify("sync", rank, 0, sync_cost, api, inos=of.ino,
+            self._notify("fsync", rank, 0, sync_cost, api, inos=of.ino,
                          n_ops=n_chunks, start=start_at + cost)
             total += sync_cost
         return total
@@ -357,7 +349,7 @@ class PosixIO:
         cost = float(self.fs.perf.fsync_cost(
             self._writers, int(st.stripe_count[of.ino])))
         self._charge(rank, cost)
-        self._notify("sync", rank, 0, cost, api or of.api, inos=of.ino)
+        self._notify("fsync", rank, 0, cost, api or of.api, inos=of.ino)
 
     def read(self, rank: int, fd: int, nbytes: int,
              offset: int | None = None, api: str | None = None) -> bytes:

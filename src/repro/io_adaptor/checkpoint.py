@@ -85,8 +85,7 @@ def restore_from_openpmd(sim, posix: PosixIO, comm: VirtualComm,
             if hi > lo:
                 arrays.add(xs[lo:hi], vxs[lo:hi], vys[lo:hi], vzs[lo:hi],
                            ws[lo:hi])
-    step = int(getattr(series.engine, "attributes", {}).get(
-        "/data/0/checkpointStep", 0))
+    step = int(series.attribute("/data/0/checkpointStep", 0))
     series.close()
     return step
 

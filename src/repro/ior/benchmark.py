@@ -80,7 +80,7 @@ def run_ior(machine: Machine, config: IORConfig,
                 sync = fs.perf.fsync_cost(comm.size, 1, n_ops=1)
                 costs = np.full(comm.size, float(sync))
                 posix._charge(ranks, costs)
-                posix._notify("sync", ranks, 0, costs, "POSIX")
+                posix._notify("fsync", ranks, 0, costs, "POSIX")
             posix.close_group(ranks, fds)
         else:
             shared_path = f"{outdir}/testFile"
@@ -108,7 +108,7 @@ def run_ior(machine: Machine, config: IORConfig,
                 sync = fs.perf.fsync_cost(comm.size, stripe_count, n_ops=1)
                 sync_costs = np.full(comm.size, float(sync))
                 posix._charge(ranks, sync_costs)
-                posix._notify("sync", ranks, 0, sync_costs, "POSIX")
+                posix._notify("fsync", ranks, 0, sync_costs, "POSIX")
             posix.close(0, fd)
 
     log = monitor.finalize(runtime_seconds=comm.max_time(),

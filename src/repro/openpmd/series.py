@@ -29,7 +29,7 @@ from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from repro.adios2 import EngineConfig, engine_for_path
+from repro.adios2 import EngineBase, EngineConfig, engine_for_path
 from repro.adios2.bp4 import BP4Engine
 from repro.adios2.bp5 import BP5Engine
 from repro.fs.posix import PosixIO
@@ -140,7 +140,8 @@ class Series:
             "iterationFormat": "%T",
             "software": "repro-bit1",
         }
-        self._engines: dict[int | None, Any] = {}
+        self._engines: dict[int | None, EngineBase] = {}
+        self._read_engine: EngineBase | None = None
         self._closed = False
         self._bytes_flushed = 0
         if access == Access.READ_ONLY:
@@ -266,11 +267,9 @@ class Series:
         engine = self._engine_for(None, "r")
         self._read_engine = engine
         # adopt the attributes the writing series stored on disk
-        stored = getattr(engine, "attributes", None)
-        if stored:
-            for name, value in stored.items():
-                if not name.startswith("/data/"):
-                    self.attributes[name] = value
+        for name, value in engine.attributes.items():
+            if not name.startswith("/data/"):
+                self.attributes[name] = value
 
     def attribute(self, name: str, default: Any = None) -> Any:
         """One stored attribute by name (read side: as written to disk).
@@ -280,9 +279,8 @@ class Series:
         attributes the writer defined (``/data/<i>/<key>``), so readers
         need not dig into the private read engine.
         """
-        engine = getattr(self, "_read_engine", None)
-        if engine is not None:
-            stored = getattr(engine, "attributes", {})
+        if self._read_engine is not None:
+            stored = self._read_engine.attributes
             if name in stored:
                 return stored[name]
         return self.attributes.get(name, default)
@@ -348,7 +346,7 @@ class Series:
     @property
     def engine(self):
         """The live engine (group-based encodings only; for inspection)."""
-        return self._engines.get(None) or getattr(self, "_read_engine", None)
+        return self._engines.get(None) or self._read_engine
 
     @property
     def bytes_flushed(self) -> int:
@@ -364,17 +362,13 @@ class Series:
         if self._closed:
             return
         for eng in self._engines.values():
-            if hasattr(eng, "abandon"):
-                eng.abandon()
-            else:  # pragma: no cover - non-BP backends
-                eng.close()
+            eng.abandon()
         self._closed = True
 
     def handle_rank_failure(self, dead_ranks) -> None:
         """Forward an aggregator-rank failure to every live engine."""
         for eng in self._engines.values():
-            if hasattr(eng, "handle_rank_failure"):
-                eng.handle_rank_failure(dead_ranks)
+            eng.handle_rank_failure(dead_ranks)
 
     def close(self) -> None:
         """"If no further iterations are needed, the series is closed."""
@@ -387,8 +381,7 @@ class Series:
             ):
                 it.close()
         for eng in self._engines.values():
-            if self.access != Access.READ_ONLY and hasattr(
-                    eng, "define_attribute"):
+            if self.access != Access.READ_ONLY:
                 for name, value in self.attributes.items():
                     eng.define_attribute(name, value)
                 for it in self.iterations.values():

@@ -39,10 +39,6 @@ class TraceBus:
       called when producers name the files behind inode numbers, so
       path-keyed subscribers (Darshan file table, DXT) can label
       records.
-
-    Legacy objects exposing only a Darshan-style ``record(...)`` method
-    can be attached through
-    :class:`~repro.trace.subscribers.LegacyMonitorAdapter`.
     """
 
     __slots__ = ("_subs", "_dispatch", "_wanted", "_scope_stack", "_step",
@@ -90,8 +86,7 @@ class TraceBus:
         """
         if not hasattr(subscriber, "on_event"):
             raise TypeError(
-                f"{type(subscriber).__name__} has no on_event(); wrap "
-                "record()-style monitors in LegacyMonitorAdapter")
+                f"{type(subscriber).__name__} has no on_event()")
         if subscriber not in self._subs:
             self._subs.append(subscriber)
             self._refresh_wanted()

@@ -470,7 +470,7 @@ def run_openpmd_scaled(machine: Machine, nodes: int,
         peak_host = wait_s = drain_s = 0.0
         for s in (diag_series, ckpt_series):
             eng = s.engine
-            if eng is not None and hasattr(eng, "profile"):
+            if eng is not None:
                 profiles.append(eng.profile)
             if eng is not None and hasattr(eng, "peak_host_bytes"):
                 peak_host = max(peak_host,

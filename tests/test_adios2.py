@@ -9,6 +9,8 @@ from repro.adios2 import (
     BP5Engine,
     EngineConfig,
     EngineProfile,
+    SSTEngine,
+    StreamRegistry,
     Variable,
     dtype_name,
     element_size,
@@ -20,6 +22,7 @@ from repro.adios2 import (
 from repro.cluster.presets import dardel
 from repro.fs import PosixIO, SyntheticPayload, mount
 from repro.mpi import VirtualComm
+from repro.openpmd import HDF5Engine, JSONEngine
 
 
 @pytest.fixture
@@ -274,12 +277,22 @@ class TestEngineLayout:
             engine_for_path("x.h5")
 
 
+def _sst(posix, comm, path):
+    return SSTEngine(posix, comm, path, registry=StreamRegistry())
+
+
 class TestEngineSemantics:
-    def test_step_protocol_enforced(self, env):
+    @pytest.mark.parametrize("make", [BP4Engine, HDF5Engine, JSONEngine,
+                                      _sst],
+                             ids=["bp4", "h5", "json", "sst"])
+    def test_step_protocol_enforced(self, env, make):
+        """Every engine shares one step protocol and its guards."""
         _fs, comm, posix = env
-        eng = BP4Engine(posix, comm, "/out/p", "w")
+        eng = make(posix, comm, "/out/p")
         with pytest.raises(RuntimeError):
             eng.end_step()  # no begin
+        with pytest.raises(RuntimeError):
+            eng.declare_variable("/v", "double", (4,))  # no begin
         eng.begin_step()
         with pytest.raises(RuntimeError):
             eng.begin_step()  # nested

@@ -80,16 +80,23 @@ class TestHDF5Engine:
             HDF5Engine(posix, comm, "/run/z", "w",
                        EngineConfig(compressor="blosc"))
 
-    def test_step_protocol(self, env):
-        fs, comm, _mon, posix = env
-        eng = HDF5Engine(posix, comm, "/run/p", "w")
-        with pytest.raises(RuntimeError):
-            eng.end_step()
-        eng.begin_step()
-        with pytest.raises(RuntimeError):
-            eng.begin_step()
-        eng.end_step()
-        eng.close()
+    def test_abandon_does_no_closing_io(self, env):
+        fs, comm, mon, posix = env
+        s = Series(posix, comm, "/run/crash.h5", Access.CREATE)
+        comp = s.iterations[0].meshes["rho"].scalar
+        comp.reset_dataset(Dataset(np.float64, (8,)))
+        comp.store_chunk(np.arange(8.0), (0,), rank=0)
+        s.iterations[0].close()
+
+        def closes():
+            return mon._modules["POSIX"].counts["CLOSES"].sum()
+
+        before = closes()
+        s.abandon()
+        # a crashed job writes no footer and closes nothing
+        assert closes() == before
+        ino = fs.vfs.lookup("/run/crash.h5")
+        assert b"H5FOOTER" not in fs.vfs.read(ino, 0, fs.vfs.size_of(ino))
 
     def test_read_without_footer_rejected(self, env):
         fs, comm, _mon, posix = env
