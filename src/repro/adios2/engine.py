@@ -415,7 +415,7 @@ class BPEngineBase(EngineBase):
             self.posix.mkdir(root_rank, self.path, parents=True)
         m = self.plan.num_aggregators
         agg_ranks = self.plan.aggregator_ranks
-        self._data_fds = self.posix.open_group(
+        self._subfile_fd = self.posix.open_group(
             agg_ranks, [self._subfile_path(i) for i in range(m)],
             create=True, truncate=truncate,
         )
@@ -531,14 +531,14 @@ class BPEngineBase(EngineBase):
                         live = batch > 0
                         self.posix.write_aggregate(
                             agg_ranks[active][live],
-                            self._data_fds[active][live],
+                            self._subfile_fd[active][live],
                             batch[live], overwrite_offset=offs[live],
                         )
                         offs += batch
                         remaining -= batch
                 else:
                     self.posix.write_aggregate(
-                        agg_ranks[active], self._data_fds[active],
+                        agg_ranks[active], self._subfile_fd[active],
                         per_agg[active], overwrite_offset=offsets[active],
                     )
         self._materialize_chunks(offsets)
@@ -652,7 +652,7 @@ class BPEngineBase(EngineBase):
         bound = self.config.buffer_chunk_size or self.default_buffer_chunk
         sched_ends: list[list[float]] = [[] for _ in act]
         sched_bytes: list[list[float]] = [[] for _ in act]
-        fds = self._data_fds[act]
+        fds = self._subfile_fd[act]
         if bound is not None and int(per_agg[act].max()) > bound:
             remaining = per_agg[act].astype(np.int64).copy()
             offs = offsets[act].astype(np.int64).copy()
@@ -848,9 +848,9 @@ class BPEngineBase(EngineBase):
     # -- read-side API ------------------------------------------------------------------
 
     def _open_for_read(self) -> None:
-        self._data_fds = np.zeros(0, dtype=np.int64)
+        self._subfile_fd = np.zeros(0, dtype=np.int64)
         md_fd = self.posix.open(0, f"{self.path}/md.0")
-        size = self.posix.fs.vfs.size_of(self.posix._fds[md_fd].ino)
+        size = self.posix.fs.vfs.size_of(self.posix.ino_of(md_fd))
         blob = self.posix.read(0, md_fd, size)
         self.posix.close(0, md_fd)
         for line in blob.decode(errors="ignore").splitlines():
@@ -957,13 +957,13 @@ class BPEngineBase(EngineBase):
             bus.emit("failover", ranks,
                      start=self.comm.clocks[ranks],
                      api="AGG", layer="faults",
-                     inos=self.posix._fd_ino[self._data_fds[changed]])
+                     inos=self.posix._fd_ino[self._subfile_fd[changed]])
         self.plan = new_plan
 
     def _open_fds(self) -> list:
         if self.mode == "r":
             return []
-        return [self._data_fds, self._md_fd, self._idx_fd,
+        return [self._subfile_fd, self._md_fd, self._idx_fd,
                 *self._extra_fds.values()]
 
     def abandon(self) -> None:
@@ -991,7 +991,7 @@ class BPEngineBase(EngineBase):
                 self.posix.write(0, fd, RealPayload(
                     self.profile.to_json().encode(), entropy="metadata"))
                 self.posix.close(0, fd)
-            self.posix.close_group(self.plan.aggregator_ranks, self._data_fds)
+            self.posix.close_group(self.plan.aggregator_ranks, self._subfile_fd)
             self.posix.close(0, self._md_fd)
             self.posix.close(0, self._idx_fd)
             for fd in self._extra_fds.values():

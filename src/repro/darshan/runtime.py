@@ -32,6 +32,7 @@ from repro.darshan.counters import (
     size_bucket_index,
 )
 from repro.darshan.log import DarshanLog, FileRecord, ModuleRecord
+from repro.trace.bus import fold_registrations
 from repro.trace.events import FS_LAYERS, EventBatch, IOEvent
 from repro.util.scatter import scatter_add, scatter_add2
 
@@ -58,8 +59,9 @@ class _FileTable:
     account when one is attached.
     """
 
+    #: the counter columns, named and ordered as FileRecord's fields
     _FIELDS = ("opens", "reads", "writes", "fsyncs",
-               "bytes_read", "bytes_written", "time")
+               "bytes_read", "bytes_written", "cumulative_time")
 
     #: unfolded registration rows tolerated before compaction — keeps
     #: residency at O(distinct files) when chunked group opens register
@@ -110,10 +112,7 @@ class _FileTable:
     def paths(self) -> dict[int, str]:
         """Materialised ino → path registry (first registration wins)."""
         if self._path_batches:
-            setdefault = self._paths.setdefault
-            for inos, paths in self._path_batches:
-                for ino, path in zip(inos, paths):
-                    setdefault(int(ino), path)
+            fold_registrations(self._paths, self._path_batches)
             self._path_batches.clear()
             self._path_rows = 0
         return self._paths
@@ -269,7 +268,7 @@ class DarshanMonitor:
             scatter_add(ft.fsyncs, inos, ops)
         elif kind in ("open", "create"):
             scatter_add(ft.opens, inos, ops)
-        scatter_add(ft.time, inos, seconds)
+        scatter_add(ft.cumulative_time, inos, seconds)
 
     def _evict(self, inos) -> None:
         """Fold live rows of just-closed files into frozen partials."""
@@ -281,15 +280,10 @@ class DarshanMonitor:
             if rec is None:
                 rec = self._evicted[ino] = FileRecord(
                     path=paths.get(ino, f"<ino {ino}>"))
-            rec.opens += float(ft.opens[ino])
-            rec.reads += float(ft.reads[ino])
-            rec.writes += float(ft.writes[ino])
-            rec.fsyncs += float(ft.fsyncs[ino])
-            rec.bytes_read += float(ft.bytes_read[ino])
-            rec.bytes_written += float(ft.bytes_written[ino])
-            rec.cumulative_time += float(ft.time[ino])
             for f in _FileTable._FIELDS:
-                getattr(ft, f)[ino] = 0.0
+                column = getattr(ft, f)
+                setattr(rec, f, getattr(rec, f) + float(column[ino]))
+                column[ino] = 0.0
 
     # -- queries used while the job runs --------------------------------------
 
@@ -339,28 +333,21 @@ class DarshanMonitor:
                 counters[f"{name}_{bname}"] = m.size_hist[:, j].astype(np.float64)
             modules[name] = ModuleRecord(name=name, counters=counters)
         ft = self._files
+        paths = ft.paths
+        inos = np.fromiter(paths, dtype=np.int64, count=len(paths))
+        names = iter(paths.values())
         files = []
-        for ino, path in self._files.paths.items():
-            rec = FileRecord(
-                path=path,
-                opens=float(ft.opens[ino]),
-                reads=float(ft.reads[ino]),
-                writes=float(ft.writes[ino]),
-                fsyncs=float(ft.fsyncs[ino]),
-                bytes_read=float(ft.bytes_read[ino]),
-                bytes_written=float(ft.bytes_written[ino]),
-                cumulative_time=float(ft.time[ino]),
-            )
-            prev = self._evicted.get(ino)
-            if prev is not None:  # merge evicted partials back in
-                rec.opens += prev.opens
-                rec.reads += prev.reads
-                rec.writes += prev.writes
-                rec.fsyncs += prev.fsyncs
-                rec.bytes_read += prev.bytes_read
-                rec.bytes_written += prev.bytes_written
-                rec.cumulative_time += prev.cumulative_time
-            files.append(rec)
+        # columns are gathered per block so the transient lists stay
+        # small next to the records they become
+        for lo in range(0, len(inos), 8192):
+            block = inos[lo:lo + 8192]
+            columns = [getattr(ft, f)[block].tolist() for f in ft._FIELDS]
+            for ino, path, *values in zip(block.tolist(), names, *columns):
+                prev = self._evicted.get(ino)
+                if prev is not None:  # merge evicted partials back in
+                    values = [v + getattr(prev, f)
+                              for v, f in zip(values, ft._FIELDS)]
+                files.append(FileRecord(path, *values))
         if runtime_seconds is None:
             runtime_seconds = float(self.per_rank_io_time().max())
         self._finalized = DarshanLog(

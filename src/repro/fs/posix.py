@@ -21,7 +21,6 @@ vectorise, don't loop).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -46,16 +45,8 @@ MD_OPS = {
     "seek": 0.0,  # client-local
 }
 
-
-@dataclass
-class OpenFile:
-    """One open file descriptor."""
-
-    ino: int
-    path: str
-    rank: int
-    pos: int = 0
-    api: str = "POSIX"
+#: the descriptor-table columns, all indexed by fd
+_FD_COLUMNS = ("_fd_ino", "_fd_rank", "_fd_pos", "_fd_api")
 
 
 class PosixIO:
@@ -76,8 +67,15 @@ class PosixIO:
             # a monitor passed directly becomes the first subscriber
             # (modern callers subscribe via the session)
             self.trace.subscribe(monitor)
-        self._fds: dict[int, OpenFile] = {}
-        self._fd_ino = np.full(256, -1, dtype=np.int64)  # fd -> ino map
+        # the descriptor table is columnar, indexed by fd: inode (-1 =
+        # closed), owning rank, file position and an api code into
+        # ``_apis``; a group open fills one slice of each column
+        self._fd_ino = np.full(256, -1, dtype=np.int64)
+        self._fd_rank = np.zeros(256, dtype=np.int64)
+        self._fd_pos = np.zeros(256, dtype=np.int64)
+        self._fd_api = np.zeros(256, dtype=np.int16)
+        self._apis: list[str] = []
+        self._n_open = 0
         self._next_fd = 3  # 0-2 are stdin/out/err, as tradition demands
         self._writers = comm.size if comm is not None else 1
         self._md_clients = comm.size if comm is not None else 1
@@ -137,52 +135,53 @@ class PosixIO:
                  n_ops=n_ops, api=api, layer=_API_LAYER.get(api, "posix"),
                  inos=inos)
 
-    def _alloc_fd(self, of: OpenFile) -> int:
-        fd = self._next_fd
-        self._next_fd += 1
-        if fd >= len(self._fd_ino):
-            grown = np.full(len(self._fd_ino) * 2, -1, dtype=np.int64)
-            grown[: len(self._fd_ino)] = self._fd_ino
-            self._fd_ino = grown
-        self._fd_ino[fd] = of.ino
-        self._fds[fd] = of
-        return fd
-
-    def _alloc_fd_group(self, ranks: np.ndarray, inos: np.ndarray,
-                        paths: Sequence[str], api: str,
-                        positions: np.ndarray | None = None) -> np.ndarray:
-        """Allocate a consecutive run of descriptors in one shot."""
-        k = len(inos)
+    def _alloc_fds(self, ranks, inos, api: str, positions=0) -> int:
+        """Open a consecutive run of descriptors; returns the first fd."""
+        k = np.size(inos)
         fd0 = self._next_fd
         self._next_fd += k
-        while self._next_fd > len(self._fd_ino):
-            grown = np.full(len(self._fd_ino) * 2, -1, dtype=np.int64)
-            grown[: len(self._fd_ino)] = self._fd_ino
-            self._fd_ino = grown
-        fds = np.arange(fd0, fd0 + k, dtype=np.int64)
-        self._fd_ino[fds] = inos
-        mkfile = OpenFile
-        pos_list = ([0] * k if positions is None else positions.tolist())
-        self._fds.update(
-            (fd, mkfile(ino=ino, path=p, rank=r, pos=pos, api=api))
-            for fd, ino, p, r, pos in zip(fds.tolist(), inos.tolist(), paths,
-                                          ranks.tolist(), pos_list))
-        return fds
+        self._n_open += k
+        if self._next_fd > len(self._fd_ino):
+            cap = 1 << (self._next_fd - 1).bit_length()  # next power of 2
+            for name in _FD_COLUMNS:
+                old = getattr(self, name)
+                setattr(self, name, np.pad(old, (0, cap - len(old)),
+                                           constant_values=-1))
+        if api not in self._apis:
+            self._apis.append(api)
+        sl = slice(fd0, fd0 + k)
+        self._fd_ino[sl] = inos
+        self._fd_rank[sl] = ranks
+        self._fd_pos[sl] = positions
+        self._fd_api[sl] = self._apis.index(api)
+        return fd0
 
-    def _maybe_recycle_fds(self) -> None:
-        """Reset descriptor numbering once every file is closed.
+    def _mark_closed(self, fds: np.ndarray) -> None:
+        """Drop open descriptors; rewind numbering at a full drain.
 
         Real kernels reuse the lowest free fd; the monotonic counter
-        here would instead grow the fd→ino map to O(total opens) when a
+        here would instead grow the columns to O(total opens) when a
         chunked workload opens and closes rank-blocks repeatedly.  A
         full drain is the cheap safe point to rewind at.
         """
-        if not self._fds:
+        self._fd_ino[fds] = -1
+        self._n_open -= np.size(fds)
+        if not self._n_open:
             self._next_fd = 3
             if len(self._fd_ino) > 4096:
-                self._fd_ino = np.full(256, -1, dtype=np.int64)
+                for name in _FD_COLUMNS:
+                    setattr(self, name, getattr(self, name)[:256].copy())
+
+    def ino_of(self, fd: int) -> int:
+        """The inode open on ``fd``; KeyError when ``fd`` is not open."""
+        fd = int(fd)
+        if not 0 <= fd < self._next_fd or self._fd_ino[fd] < 0:
+            raise KeyError(fd)
+        return int(self._fd_ino[fd])
 
     def _inos_of(self, fds: np.ndarray) -> np.ndarray:
+        if fds.size and (fds.min() < 0 or fds.max() >= self._next_fd):
+            raise KeyError("operation on closed file descriptor")
         inos = self._fd_ino[fds]
         if np.any(inos < 0):
             raise KeyError("operation on closed file descriptor")
@@ -231,22 +230,30 @@ class PosixIO:
         if truncate:
             self.fs.vfs.truncate(ino, 0)
         pos = self.fs.vfs.size_of(ino) if append else 0
-        fd = self._alloc_fd(OpenFile(ino=ino, path=path, rank=rank, pos=pos,
-                                     api=api))
+        fd = self._alloc_fds(rank, ino, api, pos)
         self.trace.register_file(ino, path)
         self._md(rank, op, api, ino=ino)
         return fd
 
     def close(self, rank: int, fd: int, api: str | None = None) -> None:
-        of = self._fds.pop(fd)
-        self._fd_ino[fd] = -1
-        self._maybe_recycle_fds()
-        self._md(rank, "close", api or of.api, ino=of.ino)
-
-    def fileno_path(self, fd: int) -> str:
-        return self._fds[fd].path
+        ino = self.ino_of(fd)
+        api = api or self._apis[self._fd_api[fd]]
+        self._mark_closed(fd)
+        self._md(rank, "close", api, ino=ino)
 
     # -- data ---------------------------------------------------------------------
+
+    def _guarded(self, op: str, fd: int, api: str | None,
+                 rank: int | None = None) -> tuple[int, str]:
+        """(inode, api) of an open ``fd``, past the fault guard, which
+        sees ``rank`` or else the rank that opened ``fd``."""
+        ino = self.ino_of(fd)
+        api = api or self._apis[self._fd_api[fd]]
+        if self.faults is not None:
+            if rank is None:
+                rank = int(self._fd_rank[fd])
+            self.faults.guard(self, op, rank, ino, api)
+        return ino, api
 
     def write(self, rank: int, fd: int,
               data: Payload | bytes | np.ndarray,
@@ -265,35 +272,8 @@ class PosixIO:
         same cost and Darshan accounting, but the spine types it
         ``meta_append`` so profile folds can separate it from data.
         """
-        payload = as_payload(data)
-        of = self._fds[fd]
-        api = api or of.api
-        if self.faults is not None:
-            self.faults.guard(self, "write", of.rank, of.ino, api)
-        pos = of.pos if offset is None else offset
-        n = self.fs.vfs.write(of.ino, pos, payload)
-        of.pos = pos + n
-        st = self.fs.vfs.cols
-        stripe_count = int(st.stripe_count[of.ino])
-        stripe_size = int(st.stripe_size[of.ino])
-        n_chunks = 1
-        per_chunk = n
-        if chunk_size is not None and n > 0:
-            n_chunks = max(1, -(-n // chunk_size))
-            per_chunk = min(n, chunk_size)
-        cost = float(self.fs.perf.write_op_cost(
-            per_chunk, self._writers, stripe_count, stripe_size,
-            n_ops=n_chunks)) * float(self.fs.perf.noise())
-        self._charge(rank, cost)
-        self._notify("meta_append" if meta else "write", rank, n, cost, api,
-                     inos=of.ino, n_ops=n_chunks)
-        if sync_each_chunk:
-            sync_cost = float(self.fs.perf.fsync_cost(
-                self._writers, stripe_count, n_ops=n_chunks))
-            self._charge(rank, sync_cost)
-            self._notify("fsync", rank, 0, sync_cost, api, inos=of.ino,
-                         n_ops=n_chunks)
-        return n
+        return self._write(rank, fd, data, offset, chunk_size,
+                           sync_each_chunk, api, meta)[0]
 
     def write_scheduled(self, rank: int, fd: int,
                         data: Payload | bytes | np.ndarray,
@@ -312,16 +292,22 @@ class PosixIO:
         runs.  Returns the modeled seconds (write plus any per-chunk
         fsyncs) for the caller's drain bookkeeping.
         """
+        return self._write(rank, fd, data, None, chunk_size,
+                           sync_each_chunk, api, False, start_at)[1]
+
+    def _write(self, rank, fd, data, offset, chunk_size, sync_each_chunk,
+               api, meta, start_at=None) -> tuple[int, float]:
+        """Shared body of the writes: (bytes written, modeled seconds).
+        With ``start_at`` nothing is charged and events are stamped
+        there."""
         payload = as_payload(data)
-        of = self._fds[fd]
-        api = api or of.api
-        if self.faults is not None:
-            self.faults.guard(self, "write", of.rank, of.ino, api)
-        n = self.fs.vfs.write(of.ino, of.pos, payload)
-        of.pos += n
+        ino, api = self._guarded("write", fd, api)
+        pos = int(self._fd_pos[fd]) if offset is None else offset
+        n = self.fs.vfs.write(ino, pos, payload)
+        self._fd_pos[fd] = pos + n
         st = self.fs.vfs.cols
-        stripe_count = int(st.stripe_count[of.ino])
-        stripe_size = int(st.stripe_size[of.ino])
+        stripe_count = int(st.stripe_count[ino])
+        stripe_size = int(st.stripe_size[ino])
         n_chunks = 1
         per_chunk = n
         if chunk_size is not None and n > 0:
@@ -330,38 +316,38 @@ class PosixIO:
         cost = float(self.fs.perf.write_op_cost(
             per_chunk, self._writers, stripe_count, stripe_size,
             n_ops=n_chunks)) * float(self.fs.perf.noise())
-        self._notify("write", rank, n, cost, api, inos=of.ino,
-                     n_ops=n_chunks, start=start_at)
-        total = cost
-        if sync_each_chunk:
-            sync_cost = float(self.fs.perf.fsync_cost(
-                self._writers, stripe_count, n_ops=n_chunks))
-            self._notify("fsync", rank, 0, sync_cost, api, inos=of.ino,
-                         n_ops=n_chunks, start=start_at + cost)
-            total += sync_cost
-        return total
+        if start_at is None:
+            self._charge(rank, cost)
+        self._notify("meta_append" if meta else "write", rank, n, cost, api,
+                     inos=ino, n_ops=n_chunks, start=start_at)
+        if not sync_each_chunk:
+            return n, cost
+        sync_cost = float(self.fs.perf.fsync_cost(
+            self._writers, stripe_count, n_ops=n_chunks))
+        if start_at is None:
+            self._charge(rank, sync_cost)
+        self._notify("fsync", rank, 0, sync_cost, api, inos=ino,
+                     n_ops=n_chunks,
+                     start=None if start_at is None else start_at + cost)
+        return n, cost + sync_cost
 
     def fsync(self, rank: int, fd: int, api: str | None = None) -> None:
-        of = self._fds[fd]
-        if self.faults is not None:
-            self.faults.guard(self, "fsync", rank, of.ino, api or of.api)
+        ino, api = self._guarded("fsync", fd, api, rank)
         st = self.fs.vfs.cols
         cost = float(self.fs.perf.fsync_cost(
-            self._writers, int(st.stripe_count[of.ino])))
+            self._writers, int(st.stripe_count[ino])))
         self._charge(rank, cost)
-        self._notify("fsync", rank, 0, cost, api or of.api, inos=of.ino)
+        self._notify("fsync", rank, 0, cost, api, inos=ino)
 
     def read(self, rank: int, fd: int, nbytes: int,
              offset: int | None = None, api: str | None = None) -> bytes:
-        of = self._fds[fd]
-        if self.faults is not None:
-            self.faults.guard(self, "read", rank, of.ino, api or of.api)
-        pos = of.pos if offset is None else offset
-        data = self.fs.vfs.read(of.ino, pos, nbytes)
-        of.pos = pos + len(data)
+        ino, api = self._guarded("read", fd, api, rank)
+        pos = int(self._fd_pos[fd]) if offset is None else offset
+        data = self.fs.vfs.read(ino, pos, nbytes)
+        self._fd_pos[fd] = pos + len(data)
         cost = float(self.fs.perf.read_op_cost(len(data), self._md_clients))
         self._charge(rank, cost)
-        self._notify("read", rank, len(data), cost, api or of.api, inos=of.ino)
+        self._notify("read", rank, len(data), cost, api, inos=ino)
         return data
 
     def read_scheduled(self, rank: int, fd: int, nbytes: int,
@@ -375,26 +361,23 @@ class PosixIO:
         events are stamped at ``start_at`` so timeline exports show the
         fill where it actually runs.  Returns the modeled seconds.
         """
-        of = self._fds[fd]
-        if self.faults is not None:
-            self.faults.guard(self, "read", rank, of.ino, api or of.api)
-        self.fs.vfs.account_read(of.ino, nbytes)
-        cost = float(self.fs.perf.read_op_cost(nbytes, self._md_clients))
-        self._notify("read", rank, nbytes, cost, api or of.api,
-                     inos=of.ino, start=start_at)
-        return cost
+        return self._account_read(rank, fd, nbytes, api, start_at)
 
     def read_synthetic(self, rank: int, fd: int, nbytes: int,
                        api: str | None = None) -> int:
         """Account a read without materialised content (modeled mode)."""
-        of = self._fds[fd]
-        if self.faults is not None:
-            self.faults.guard(self, "read", rank, of.ino, api or of.api)
-        self.fs.vfs.account_read(of.ino, nbytes)
-        cost = float(self.fs.perf.read_op_cost(nbytes, self._md_clients))
-        self._charge(rank, cost)
-        self._notify("read", rank, nbytes, cost, api or of.api, inos=of.ino)
+        self._account_read(rank, fd, nbytes, api)
         return nbytes
+
+    def _account_read(self, rank, fd, nbytes, api, start_at=None) -> float:
+        ino, api = self._guarded("read", fd, api, rank)
+        self.fs.vfs.account_read(ino, nbytes)
+        cost = float(self.fs.perf.read_op_cost(nbytes, self._md_clients))
+        if start_at is None:
+            self._charge(rank, cost)
+        self._notify("read", rank, nbytes, cost, api, inos=ino,
+                     start=start_at)
+        return cost
 
     # -- group (vectorised symmetric-rank) operations ----------------------------
 
@@ -412,8 +395,9 @@ class PosixIO:
             inos = self.fs.vfs.lookup_many(paths)
         if truncate:
             self.fs.vfs.truncate_many(inos)
-        positions = self.fs.vfs.cols.size[inos].copy() if append else None
-        fds = self._alloc_fd_group(ranks, inos, paths, api, positions)
+        fd0 = self._alloc_fds(
+            ranks, inos, api, self.fs.vfs.cols.size[inos] if append else 0)
+        fds = np.arange(fd0, fd0 + len(inos), dtype=np.int64)
         self.trace.register_files(inos, paths)
         op = "create" if create else "open"
         weight = MD_OPS[op]
@@ -567,20 +551,19 @@ class PosixIO:
         metadata ops are charged and no events are emitted.  Used by the
         ``abandon()`` paths of writers when a node-crash fault fires.
         """
-        for fd in np.atleast_1d(np.asarray(fds, dtype=np.int64)):
-            self._fds.pop(int(fd), None)
-            self._fd_ino[int(fd)] = -1
-        self._maybe_recycle_fds()
+        fds = np.atleast_1d(np.asarray(fds, dtype=np.int64))
+        fds = fds[(fds >= 0) & (fds < self._next_fd)]
+        self._mark_closed(np.unique(fds[self._fd_ino[fds] >= 0]))
 
     def close_group(self, ranks: np.ndarray, fds: np.ndarray,
                     api: str = "POSIX") -> None:
         ranks = np.asarray(ranks)
         fds = np.asarray(fds)
-        inos = self._fd_ino[fds].copy()
-        self._fd_ino[fds] = -1
-        for fd in fds:
-            self._fds.pop(int(fd))
-        self._maybe_recycle_fds()
+        inos = self._inos_of(fds)
+        if fds.size > 1 and not (fds[1:] > fds[:-1]).all() and (
+                np.unique(fds).size != fds.size):
+            raise KeyError("descriptor closed twice")
+        self._mark_closed(fds)
         cost = float(self.fs.perf.metadata_op_cost(self._md_clients, MD_OPS["close"]))
         costs = np.full(len(ranks), cost)
         self._charge(ranks, costs)
@@ -598,4 +581,4 @@ class PosixIO:
 
     @property
     def open_fd_count(self) -> int:
-        return len(self._fds)
+        return self._n_open

@@ -332,7 +332,7 @@ class VirtualFS:
         paths = list(paths)
         if len(paths) > 1:
             first = paths[0]
-            if all(p is first for p in paths):
+            if paths.count(first) == len(paths):
                 # every rank opening the same file (shared input deck):
                 # one dict probe instead of N string normalisations
                 return np.full(len(paths), self.lookup(first), dtype=np.int64)

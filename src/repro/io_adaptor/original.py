@@ -183,7 +183,7 @@ class OriginalIOWriter:
     def read_checkpoint(self, sim, rank: int) -> dict:
         """Load one rank's .dmp back (restart support)."""
         fd = self.posix.open(rank, self.dmp_path(rank), api="STDIO")
-        ino = self.posix._fds[fd].ino
+        ino = self.posix.ino_of(fd)
         size = self.posix.fs.vfs.size_of(ino)
         blob = self.posix.read(rank, fd, size)
         self.posix.close(rank, fd)

@@ -88,7 +88,7 @@ def run_ior(machine: Machine, config: IORConfig,
                 fs.lfs_setstripe(outdir, stripe_count=storage.num_osts,
                                  stripe_size="1M")
             fd = posix.open(0, shared_path, create=True)
-            ino = posix._fds[fd].ino
+            ino = posix.ino_of(fd)
             stripe_count = int(fs.vfs.cols.stripe_count[ino])
             # disjoint segments: parallelism bounded by the stripe count,
             # derated by extent-lock churn

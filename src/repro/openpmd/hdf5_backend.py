@@ -96,7 +96,7 @@ class HDF5Engine(EngineBase):
     def _lay_out(self, offset: int) -> None:
         """Write real chunk bytes and index entries at ``offset``."""
         vfs = self.posix.fs.vfs
-        ino = self.posix._fds[self._fd].ino
+        ino = self.posix.ino_of(self._fd)
         cursor = offset
         step_key = f"step{self._step}"
         for name in sorted(self._cur_vars):
@@ -122,7 +122,7 @@ class HDF5Engine(EngineBase):
     def _charge_collective(self, staged: np.ndarray, total: int) -> None:
         """Shared-file collective write cost (the IOR-shared profile)."""
         fs = self.posix.fs
-        ino = self.posix._fds[self._fd].ino
+        ino = self.posix.ino_of(self._fd)
         stripe_count = int(fs.vfs.cols.stripe_count[ino])
         if isinstance(fs, LustreFilesystem):
             streams = max(stripe_count, 1)
@@ -147,7 +147,7 @@ class HDF5Engine(EngineBase):
 
     def _open_for_read(self) -> None:
         self._fd = self.posix.open(0, self.path)
-        ino = self.posix._fds[self._fd].ino
+        ino = self.posix.ino_of(self._fd)
         size = self.posix.fs.vfs.size_of(ino)
         blob = self.posix.read(0, self._fd, size)
         footer_at = blob.rfind(b"\nH5FOOTER:")
@@ -179,7 +179,7 @@ class HDF5Engine(EngineBase):
         dtype = _numpy_dtype(entries[0]["dtype"])
         out = np.zeros(tuple(entries[0]["global_shape"]), dtype=dtype)
         vfs = self.posix.fs.vfs
-        ino = self.posix._fds[self._fd].ino
+        ino = self.posix.ino_of(self._fd)
         for e in entries:
             raw = vfs.read(ino, e["offset"], e["nbytes"])
             arr = np.frombuffer(raw, dtype=dtype).reshape(e["chunk_extent"])
@@ -201,7 +201,7 @@ class HDF5Engine(EngineBase):
                 "attributes": _jsonable(self.attributes),
             })).encode()
             vfs = self.posix.fs.vfs
-            ino = self.posix._fds[self._fd].ino
+            ino = self.posix.ino_of(self._fd)
             with self.posix.phase(writers=1):
                 self.posix.write(0, self._fd,
                                  RealPayload(footer, "metadata"),

@@ -31,7 +31,7 @@ class JSONEngine(EngineBase):
         self._doc: dict = {"openPMD-json": 1, "variables": {}}
         if mode == "r":
             fd = self.posix.open(0, self.path)
-            size = self.posix.fs.vfs.size_of(self.posix._fds[fd].ino)
+            size = self.posix.fs.vfs.size_of(self.posix.ino_of(fd))
             self._doc = json.loads(self.posix.read(0, fd, size).decode())
             self.posix.close(0, fd)
 

@@ -55,7 +55,7 @@ class Iteration:
     """One iteration: meshes + particles + time metadata."""
 
     def __init__(self, series: "Series", index: int):
-        self.series = series
+        self.series: Series | None = series  # None once the series closes
         self.index = index
         self.meshes = _Container(lambda name: Mesh(name))
         self.particles = _Container(lambda name: ParticleSpecies(name))
@@ -75,6 +75,8 @@ class Iteration:
         Closing the same iteration again after storing fresh chunks
         overwrites the previous contents on disk.
         """
+        if self.series is None:
+            raise ValueError(f"iteration {self.index}: series is closed")
         flushed = self.series._flush_iteration(self)
         self._closed = True
         return flushed
@@ -109,9 +111,11 @@ class _IterationsProxy(dict):
 
     def __init__(self, series: "Series"):
         super().__init__()
-        self._series = series
+        self._series: Series | None = series  # None once it closes
 
     def __missing__(self, index: int) -> Iteration:
+        if self._series is None:
+            raise ValueError("series is closed")
         it = self._series._make_iteration(int(index))
         self[int(index)] = it
         return it
@@ -363,7 +367,7 @@ class Series:
             return
         for eng in self._engines.values():
             eng.abandon()
-        self._closed = True
+        self._release()
 
     def handle_rank_failure(self, dead_ranks) -> None:
         """Forward an aggregator-rank failure to every live engine."""
@@ -389,7 +393,14 @@ class Series:
                         eng.define_attribute(
                             f"/data/{it.index}/{key}", value)
             eng.close()
+        self._release()
+
+    def _release(self) -> None:
+        """Close; cut the iterations' back-pointers so no cycle remains."""
         self._closed = True
+        self.iterations._series = None
+        for it in self.iterations.values():
+            it.series = None
 
     def __enter__(self) -> "Series":
         return self

@@ -139,7 +139,7 @@ def _restore_from_l3(store: MultiLevelStore, sim,
     posix = store.posix
     path = gen.l3_path
     fd = posix.open(0, path)
-    size = posix.fs.vfs.size_of(posix._fds[fd].ino)
+    size = posix.fs.vfs.size_of(posix.ino_of(fd))
     raw = posix.read(0, fd, size)
     posix.close(0, fd)
     try:

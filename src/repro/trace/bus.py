@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+import numpy as np
+
 from repro.trace.events import (
     EVENT_KINDS,
     EventBatch,
@@ -25,6 +27,22 @@ from repro.trace.events import (
     make_batch,
     make_event,
 )
+
+
+def fold_registrations(out: dict[int, str], batches) -> None:
+    """Fold ``(inos, paths)`` batches into ``out``, first registration
+    winning, once per distinct inode of a batch in first-seen order (a
+    startup block registers thousands of rows naming one input deck)."""
+    setdefault = out.setdefault
+    for inos, paths in batches:
+        inos = np.asarray(inos)
+        rows = range(len(paths))
+        if len(paths) > 1 and not (inos[1:] > inos[:-1]).all():
+            _, first = np.unique(inos, return_index=True)
+            first.sort()
+            inos, rows = inos[first], first.tolist()
+        for ino, row in zip(inos.tolist(), rows):
+            setdefault(ino, paths[row])
 
 
 class TraceBus:
@@ -217,10 +235,8 @@ class TraceBus:
         """
         batches = self._path_batches
         if self._paths_folded < len(batches):
-            out = self._paths_dict
-            for inos, paths in batches[self._paths_folded:]:
-                for ino, path in zip(inos, paths):
-                    out.setdefault(int(ino), path)
+            fold_registrations(self._paths_dict,
+                               batches[self._paths_folded:])
             self._paths_folded = len(batches)
         return self._paths_dict
 

@@ -69,8 +69,8 @@ from repro.workloads.presets import paper_use_case
 #: window, byte-for-byte the pre-chunking behaviour.  Per-rank costs and
 #: counters are invariant to this value (metadata costs use the phase's
 #: client count and ``clients=`` pins read contention), so it is sized
-#: purely for the transient working set: ~300 B of fd-table state per
-#: open rank makes 8192 a ~2.5 MB peak.
+#: purely for the transient working set: 26 B of fd-table columns and a
+#: few 8-byte arrays per open rank keep 8192 under a ~1 MB peak.
 STARTUP_READ_BLOCK = 8192
 
 
@@ -600,7 +600,7 @@ def _read_sidecar(posix: PosixIO, outdir: str) -> tuple[int, bytes] | None:
         fd = posix.open(0, path)
     except FileNotFound:
         return None
-    size = posix.fs.vfs.size_of(posix._fds[fd].ino)
+    size = posix.fs.vfs.size_of(posix.ino_of(fd))
     raw = posix.read(0, fd, size)
     posix.close(0, fd)
     try:

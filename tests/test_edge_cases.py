@@ -166,6 +166,16 @@ class TestSeriesEdges:
         s.close()
         s.close()
 
+    def test_iterations_rejected_after_close(self, env):
+        _fs, comm, posix = env
+        s = Series(posix, comm, "/run/late.bp4", Access.CREATE)
+        it = s.iterations[0]
+        s.close()
+        with pytest.raises(ValueError, match="series is closed"):
+            it.close()
+        with pytest.raises(ValueError, match="series is closed"):
+            s.iterations[1]
+
 
 class TestEventSchedule:
     def test_paper_cadence(self):

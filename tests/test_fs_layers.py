@@ -2,6 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    invariant,
+    multiple,
+    rule,
+)
 
 from repro.cluster.presets import dardel, discoverer, vega
 from repro.fs import (
@@ -283,3 +291,122 @@ class TestStdio:
         g.fwrite(b"a" * 640)
         g.fclose()
         assert comm.clocks[1] > plain
+
+
+_FD_PATHS = ("/fa", "/fb", "/fc")
+
+
+class FdTableMachine(RuleBasedStateMachine):
+    """PosixIO's descriptor table against a plain dict model.
+
+    The model maps fd -> [path, position]; numbering is consecutive
+    from 3 and rewinds to 3 whenever the last descriptor closes.
+    Positions are checked through their effects: where a write lands
+    (the file size) and how many bytes a read returns.
+    """
+
+    fds = Bundle("fds")
+
+    def __init__(self):
+        super().__init__()
+        self.posix = PosixIO(mount(dardel().storage_named("lfs")),
+                             VirtualComm(4, 2))
+        self.open_fds: dict[int, list] = {}
+        self.next_fd = 3
+        self.sizes = dict.fromkeys(_FD_PATHS, 0)
+
+    def _opened(self, fds, paths, append):
+        assert list(fds) == list(range(self.next_fd,
+                                       self.next_fd + len(paths)))
+        self.next_fd += len(paths)
+        for fd, p in zip(fds, paths):
+            self.open_fds[int(fd)] = [p, self.sizes[p] if append else 0]
+
+    def _closed(self, fds):
+        for fd in fds:
+            del self.open_fds[fd]
+        if not self.open_fds:
+            self.next_fd = 3
+
+    @rule(target=fds, path=st.sampled_from(_FD_PATHS), append=st.booleans(),
+          api=st.sampled_from(["POSIX", "STDIO"]))
+    def open(self, path, append, api):
+        fd = self.posix.open(1, path, create=True, append=append, api=api)
+        self._opened([fd], [path], append)
+        return fd
+
+    @rule(target=fds, paths=st.lists(st.sampled_from(_FD_PATHS),
+                                     min_size=1, max_size=4),
+          append=st.booleans())
+    def open_group(self, paths, append):
+        fds = self.posix.open_group(np.arange(len(paths)) % 4, paths,
+                                    append=append)
+        self._opened(fds.tolist(), paths, append)
+        return multiple(*fds.tolist())
+
+    @rule(fd=fds, n=st.integers(0, 64))
+    def write(self, fd, n):
+        if fd not in self.open_fds:
+            with pytest.raises(KeyError):
+                self.posix.write(0, fd, b"w" * n)
+            return
+        path, pos = self.open_fds[fd]
+        assert self.posix.write(0, fd, b"w" * n) == n
+        self.open_fds[fd][1] = pos + n
+        self.sizes[path] = max(self.sizes[path], pos + n)
+        assert self.posix.fs.vfs.stat(path).size == self.sizes[path]
+
+    @rule(fd=fds, n=st.integers(0, 64))
+    def read(self, fd, n):
+        if fd not in self.open_fds:
+            with pytest.raises(KeyError):
+                self.posix.read(0, fd, n)
+            return
+        path, pos = self.open_fds[fd]
+        got = len(self.posix.read(0, fd, n))
+        assert got == max(0, min(n, self.sizes[path] - pos))
+        self.open_fds[fd][1] = pos + got
+
+    @rule(fd=fds)
+    def close(self, fd):
+        if fd not in self.open_fds:
+            with pytest.raises(KeyError):
+                self.posix.close(0, fd)
+            return
+        self.posix.close(0, fd)
+        self._closed([fd])
+
+    @rule(fds=st.lists(fds, min_size=1, max_size=4))
+    def close_group(self, fds):
+        ranks = np.zeros(len(fds), dtype=np.int64)
+        if len(set(fds)) < len(fds) or not set(fds) <= self.open_fds.keys():
+            with pytest.raises(KeyError):
+                self.posix.close_group(ranks, np.array(fds))
+            return
+        self.posix.close_group(ranks, np.array(fds))
+        self._closed(fds)
+
+    @rule(fd=st.sampled_from([-1, 0, 2, 1 << 20]))
+    def never_opened(self, fd):
+        for op in (lambda: self.posix.write(0, fd, b"w"),
+                   lambda: self.posix.read(0, fd, 1),
+                   lambda: self.posix.close(0, fd),
+                   lambda: self.posix.close_group([0], np.array([fd]))):
+            with pytest.raises(KeyError):
+                op()
+
+    @rule(fds=st.lists(fds, min_size=1, max_size=4))
+    def release_fds(self, fds):
+        self.posix.release_fds(np.array(fds))
+        self._closed(set(fds) & self.open_fds.keys())
+
+    @invariant()
+    def table_matches_model(self):
+        assert self.posix.open_fd_count == len(self.open_fds)
+        vfs = self.posix.fs.vfs
+        for fd, (path, _pos) in self.open_fds.items():
+            assert self.posix.ino_of(fd) == vfs.lookup(path)
+
+
+TestFdTableModel = FdTableMachine.TestCase
+TestFdTableModel.settings = settings(max_examples=60, deadline=None)

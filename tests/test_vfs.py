@@ -130,6 +130,18 @@ class TestNamespace:
         fs.create("/x/f2")
         assert fs.files_under("/x") == ["/x/f1", "/x/f2"]
 
+    def test_lookup_many_same_and_mixed_paths(self, fs):
+        a, b = fs.create("/a"), fs.create("/b")
+        # equal but distinct string objects still take the shared path
+        same = ["/a"] + ["".join(["/", "a"]) for _ in range(3)]
+        assert fs.lookup_many(same).tolist() == [a] * 4
+        assert fs.lookup_many(["/a", "b", "/a", "/b/"]).tolist() == [
+            a, b, a, b]
+        with pytest.raises(FileNotFound):
+            fs.lookup_many(["/a", "/a", "/missing"])
+        with pytest.raises(FileNotFound):
+            fs.lookup_many(["/missing"] * 3)
+
 
 class TestDataPlane:
     def test_real_write_read_roundtrip(self, fs):
